@@ -1,7 +1,7 @@
 # Standard gates for the repo. `make check` is what CI (and a careful
 # human) should run before merging: static analysis, a full build, the
-# race-enabled test suite, and a short fuzz smoke over the two fuzz
-# targets that guard config parsing and the fluid server loop.
+# race-enabled test suite, and a short fuzz smoke over the fuzz targets
+# that guard decoding, the fluid server loop and the CRST analysis.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -29,6 +29,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzAdmitDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/server
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzShipFrameDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/replication
+	$(GO) test -fuzz FuzzAnalyzeCRST -fuzztime $(FUZZTIME) -run '^$$' ./internal/network
 
 # serve-smoke boots a real gpsd on an ephemeral port, runs a short
 # gpsdload churn burst against it, and asserts zero 5xx before draining

@@ -616,6 +616,61 @@ func BenchmarkCRSTNetwork(b *testing.B) {
 	})
 }
 
+// BenchmarkAnalyzeCRSTScaling measures one coordinator analysis
+// (Network.AnalyzeCRST with the coordinator's default options) along the
+// two axes a cluster grows on. sessions-N stages N sessions on the
+// configs/tree63.json tree exactly as the coordinator models them
+// (cluster.BuildNetwork: φ = ρ at each hop), alternating the node1→node3
+// and node2→node3 routes, with ρ spread over one stratum per session and
+// scaled so the shared root runs at 80% load. hops-H runs 100 such
+// sessions over an H-node chain, every session crossing all H nodes —
+// the long-path axis — at θ = 0.95·θ_max: the default fraction halves
+// the decay rate at every hop, and by ~35 hops the re-characterized
+// prefactor overflows and the analysis refuses the route.
+func BenchmarkAnalyzeCRSTScaling(b *testing.B) {
+	topo, err := cluster.LoadTopology("configs/tree63.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sessions := func(n int, route func(k int) []int) []wal.RouteSessionRecord {
+		recs := make([]wal.RouteSessionRecord, n)
+		for k := range recs {
+			recs[k] = wal.RouteSessionRecord{
+				Name:   fmt.Sprintf("s%d", k),
+				Rho:    0.8 / float64(n) * (0.75 + 0.5*(float64(k)+0.5)/float64(n)),
+				Lambda: 1,
+				Alpha:  5,
+				Route:  route(k),
+			}
+		}
+		return recs
+	}
+	run := func(b *testing.B, nw network.Network, opts network.CRSTOptions) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := nw.AnalyzeCRST(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []int{100, 1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("sessions-%d", n), func(b *testing.B) {
+			run(b, cluster.BuildNetwork(topo, sessions(n, func(k int) []int { return []int{k % 2, 2} })), network.CRSTOptions{})
+		})
+	}
+	for _, h := range []int{2, 8, 63} {
+		b.Run(fmt.Sprintf("hops-%d", h), func(b *testing.B) {
+			chain := cluster.Topology{Nodes: make([]cluster.HopNode, h)}
+			path := make([]int, h)
+			for m := range path {
+				chain.Nodes[m] = cluster.HopNode{Name: fmt.Sprintf("node%d", m+1), Rate: 1}
+				path[m] = m
+			}
+			run(b, cluster.BuildNetwork(chain, sessions(100, func(int) []int { return path })), network.CRSTOptions{ThetaFraction: 0.95})
+		})
+	}
+}
+
 // ------------------------------------------------------ EXT-PKTNET ----
 
 // BenchmarkPacketNetwork runs the paper tree as a WFQ packet network and

@@ -52,6 +52,7 @@ func (n Network) Validate() error {
 		}
 	}
 	load := make([]float64, len(n.Nodes))
+	lastVisit := make([]int, len(n.Nodes)) // 1 + the last session seen at each node
 	for i, s := range n.Sessions {
 		if err := s.Arrival.Validate(); err != nil {
 			return fmt.Errorf("network: session %d (%s): %w", i, s.Name, err)
@@ -62,15 +63,14 @@ func (n Network) Validate() error {
 		if len(s.Phi) != len(s.Route) {
 			return fmt.Errorf("network: session %d (%s): %d weights for %d hops", i, s.Name, len(s.Phi), len(s.Route))
 		}
-		seen := make(map[int]bool)
 		for k, m := range s.Route {
 			if m < 0 || m >= len(n.Nodes) {
 				return fmt.Errorf("network: session %d (%s): hop %d references node %d", i, s.Name, k, m)
 			}
-			if seen[m] {
+			if lastVisit[m] == i+1 {
 				return fmt.Errorf("network: session %d (%s) visits node %d twice", i, s.Name, m)
 			}
-			seen[m] = true
+			lastVisit[m] = i + 1
 			if !(s.Phi[k] > 0) {
 				return fmt.Errorf("network: session %d (%s): phi[%d] = %v", i, s.Name, k, s.Phi[k])
 			}
@@ -99,49 +99,59 @@ func (n Network) SessionsAt(m int) (sessions []int, hops []int) {
 	return sessions, hops
 }
 
-// totalPhiAt returns Σ φ_j over sessions present at node m.
-func (n Network) totalPhiAt(m int) float64 {
-	total := 0.0
+// phiSums returns Σ_{j∈I(m)} φ_j^m for every node m, each summed in
+// session-index order — the fold every guaranteed rate in this package
+// divides by, so one O(Σ route lengths) pass serves all of a network's
+// sessions and hops. Hops naming a node outside the network are left to
+// Validate.
+func (n Network) phiSums() []float64 {
+	sums := make([]float64, len(n.Nodes))
 	for _, s := range n.Sessions {
-		for k, node := range s.Route {
-			if node == m {
-				total += s.Phi[k]
+		for k, m := range s.Route {
+			if m >= 0 && m < len(sums) {
+				sums[m] += s.Phi[k]
 			}
 		}
 	}
-	return total
+	return sums
+}
+
+// rateAt is g_i^m at session i's given hop from precomputed phiSums.
+func (n Network) rateAt(i, hop int, phiSum []float64) float64 {
+	s := n.Sessions[i]
+	m := s.Route[hop]
+	return s.Phi[hop] / phiSum[m] * n.Nodes[m].Rate
 }
 
 // GuaranteedRate returns g_i^m for session i at its k-th hop:
 // φ_i^m / Σ_{j∈I(m)} φ_j^m · r^m (paper eq. 60).
 func (n Network) GuaranteedRate(i, hop int) float64 {
-	s := n.Sessions[i]
-	m := s.Route[hop]
-	return s.Phi[hop] / n.totalPhiAt(m) * n.Nodes[m].Rate
+	return n.rateAt(i, hop, n.phiSums())
 }
 
 // GNet returns g_i^net = min over the route of the per-node guaranteed
 // rates — the bottleneck clearing rate of Theorem 15.
 func (n Network) GNet(i int) float64 {
-	g := math.Inf(1)
-	for k := range n.Sessions[i].Route {
-		if v := n.GuaranteedRate(i, k); v < g {
-			g = v
-		}
-	}
+	g, _ := n.bottleneck(i, n.phiSums())
 	return g
 }
 
 // Bottleneck returns the hop index achieving GNet.
 func (n Network) Bottleneck(i int) int {
-	g := math.Inf(1)
-	best := 0
+	_, k := n.bottleneck(i, n.phiSums())
+	return k
+}
+
+// bottleneck returns session i's smallest per-hop guaranteed rate and
+// the first hop achieving it.
+func (n Network) bottleneck(i int, phiSum []float64) (g float64, hop int) {
+	g = math.Inf(1)
 	for k := range n.Sessions[i].Route {
-		if v := n.GuaranteedRate(i, k); v < g {
-			g, best = v, k
+		if v := n.rateAt(i, k, phiSum); v < g {
+			g, hop = v, k
 		}
 	}
-	return best
+	return g, hop
 }
 
 // IsRPPS reports whether the assignment is rate proportional at every

@@ -60,8 +60,14 @@ func (n Network) RPPSBound(i int, variant BoundVariant) (NetBounds, error) {
 	if i < 0 || i >= len(n.Sessions) {
 		return NetBounds{}, fmt.Errorf("network: session %d out of range", i)
 	}
+	return n.rppsBound(i, variant, n.phiSums())
+}
+
+// rppsBound is RPPSBound with the per-node Σφ precomputed, so a pass
+// over every session costs O(Σ route lengths), not that per session.
+func (n Network) rppsBound(i int, variant BoundVariant, phiSum []float64) (NetBounds, error) {
 	s := n.Sessions[i]
-	g := n.GNet(i)
+	g, _ := n.bottleneck(i, phiSum)
 	if g <= s.Arrival.Rho {
 		return NetBounds{}, fmt.Errorf("network: session %d (%s): bottleneck rate %v <= rho %v", i, s.Name, g, s.Arrival.Rho)
 	}
@@ -94,9 +100,10 @@ func (n Network) RPPSBounds(variant BoundVariant) ([]NetBounds, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
+	phiSum := n.phiSums()
 	out := make([]NetBounds, len(n.Sessions))
 	for i := range n.Sessions {
-		b, err := n.RPPSBound(i, variant)
+		b, err := n.rppsBound(i, variant, phiSum)
 		if err != nil {
 			return nil, err
 		}

@@ -25,8 +25,9 @@ import (
 )
 
 // hotPaths are the benchmarks the performance contract covers: the
-// simulator inner loops, scheduler queues, the bound-analysis scaling
-// ladder, and the streaming/sharded harness. Benchmarks absent from the
+// simulator inner loops, scheduler queues, the single-node and network
+// (CRST) bound-analysis scaling ladders, and the streaming/sharded
+// harness. Benchmarks absent from the
 // older snapshot (newly added) are reported but cannot regress; a hot
 // path that disappears from the newer snapshot fails the gate.
 var hotPaths = []string{
@@ -50,6 +51,9 @@ var hotPaths = []string{
 	"AnalyzeScaling/sessions-1024",
 	"AnalyzeScaling/sessions-16384",
 	"AnalyzeScaling/sessions-131072",
+	"AnalyzeCRSTScaling/sessions-1000",
+	"AnalyzeCRSTScaling/sessions-10000",
+	"AnalyzeCRSTScaling/hops-63",
 	"TreeSimSharded",
 	"TailInterleaved",
 }
