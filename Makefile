@@ -1,7 +1,8 @@
 # Standard gates for the repo. `make check` is what CI (and a careful
 # human) should run before merging: static analysis, a full build, the
 # race-enabled test suite, and a short fuzz smoke over the fuzz targets
-# that guard decoding, the fluid server loop and the CRST analysis.
+# that guard decoding, the fluid server loop, the CRST analysis and the
+# ordering-route prefactor kernel.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -30,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzShipFrameDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/replication
 	$(GO) test -fuzz FuzzAnalyzeCRST -fuzztime $(FUZZTIME) -run '^$$' ./internal/network
+	$(GO) test -fuzz FuzzOrderingPrefactor -fuzztime $(FUZZTIME) -run '^$$' ./internal/gpsmath
 
 # serve-smoke boots a real gpsd on an ephemeral port, runs a short
 # gpsdload churn burst against it, and asserts zero 5xx before draining

@@ -1612,3 +1612,86 @@ func benchAdmitThroughputSharded(b *testing.B, shards, population int) {
 	elapsed := time.Since(start)
 	b.ReportMetric(2*float64(b.N)/elapsed.Seconds(), "decisions/s")
 }
+
+// BenchmarkBoundsRead times one bounds read at the default evaluation
+// points (Epoch.BoundsFor with q = d = 0, what GET /v1/bounds/{id}
+// serves without a query) from a published epoch. sessions-N spreads N
+// sessions evenly over the 64-type palette, a hop's declared-type
+// population; reads cycle over one session of every type, so ns/op
+// averages over the types' ordering positions. distinct-200 gives each
+// of 200 sessions its own ρ, the shape of a cluster hop, where no two
+// Lemma 6 terms coincide; reads cycle over all of them.
+func BenchmarkBoundsRead(b *testing.B) {
+	palette, _ := shardedBenchPalette(b)
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("sessions-%d", n), func(b *testing.B) {
+			benchBoundsRead(b, palette, n)
+		})
+	}
+	distinct := make([]server.AdmitRequest, 200)
+	for k := range distinct {
+		distinct[k] = server.AdmitRequest{
+			Name:    "bench",
+			Arrival: ebb.Process{Rho: 0.02 + 0.0001*float64(k), Lambda: 1, Alpha: 1.2},
+			Target:  admission.Target{Delay: 40, Eps: 1e-3},
+		}
+	}
+	b.Run("distinct-200", func(b *testing.B) {
+		benchBoundsRead(b, distinct, len(distinct))
+	})
+}
+
+func benchBoundsRead(b *testing.B, types []server.AdmitRequest, population int) {
+	rate := 0.0
+	for k := 0; k < population; k++ {
+		g, err := admission.RequiredRate(types[k%len(types)].Arrival, types[k%len(types)].Target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rate += g
+	}
+	d, err := server.New(server.Config{
+		Rate:           rate * 1.05,
+		QueueDepth:     1 << 14,
+		MaxBatch:       1 << 30,
+		MaxEpochAge:    time.Hour,
+		SelfCheckEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := d.Close(ctx); err != nil {
+			b.Error(err)
+		}
+	})
+	var ids []uint64
+	for k := 0; k < population; k++ {
+		res, err := d.Admit(types[k%len(types)])
+		if err != nil || !res.Admitted {
+			b.Fatalf("admit: admitted=%v err=%v", res.Admitted, err)
+		}
+		if k < len(types) {
+			ids = append(ids, res.ID)
+		}
+	}
+	if err := d.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	ep := d.CurrentEpoch()
+	drainHeap()
+	b.ResetTimer()
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		rep, ok := ep.BoundsFor(ids[i%len(ids)], 0, 0)
+		if !ok {
+			b.Fatal("read of a published session refused")
+		}
+		sink += rep.AchievedEps
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN bound")
+	}
+}

@@ -164,9 +164,12 @@ func (c *Coordinator) reconcile() {
 // probeHopSession asks node m whether hop session hopID still exists.
 // 200 and 425 (admitted but not yet in a published epoch) mean yes,
 // 404 means no; anything else — transport failure, a shedding hop — is
-// unknown and the caller keeps its state.
+// unknown and the caller keeps its state. The probe is a HEAD: only the
+// status matters, and a hop answers HEAD from an existence check instead
+// of evaluating the session's bounds (hops that predate the HEAD route
+// answer it through their GET route, with the same status).
 func (c *Coordinator) probeHopSession(m int, hopID uint64) (exists, known bool) {
-	resp, err := c.client.Get(fmt.Sprintf("%s/v1/bounds/%d", c.cfg.Topology.hopBase(m), hopID))
+	resp, err := c.client.Head(fmt.Sprintf("%s/v1/bounds/%d", c.cfg.Topology.hopBase(m), hopID))
 	if err != nil {
 		return false, false
 	}

@@ -101,7 +101,7 @@ func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
 	if n == 0 {
 		return d, nil
 	}
-	if err := d.refresh(nil); err != nil {
+	if err := d.refresh(nil, 0); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -128,11 +128,8 @@ func (d *DeltaAnalyzer) Stats() DeltaStats { return d.stats }
 // E.B.B. triple); stability (Σρ < r) is enforced by the refresh. On
 // error the analyzer is left unchanged.
 func (d *DeltaAnalyzer) Admit(s Session) (*Analysis, error) {
-	if !(s.Phi > 0) || math.IsInf(s.Phi, 1) || math.IsNaN(s.Phi) {
-		return nil, fmt.Errorf("%w: session %s: phi = %v, want positive finite", ErrInvalidInput, s.Name, s.Phi)
-	}
-	if err := s.Arrival.Validate(); err != nil {
-		return nil, fmt.Errorf("gpsmath: session %s: %w", s.Name, err)
+	if err := validateSession(s); err != nil {
+		return nil, err
 	}
 	prevSess, prevRatio := d.sess, d.pRatio
 	// Append-share: old epochs hold the shorter slice headers; extending
@@ -148,12 +145,24 @@ func (d *DeltaAnalyzer) Admit(s Session) (*Analysis, error) {
 		copy(seed, d.an.Ordering)
 		seed[n] = n
 	}
-	if err := d.refresh(seed); err != nil {
+	if err := d.refresh(seed, 0); err != nil {
 		d.sess, d.pRatio = prevSess, prevRatio
 		return nil, err
 	}
 	d.stats.Admits++
 	return d.an, nil
+}
+
+// validateSession checks an admitted session like Server.Validate
+// would: positive finite φ and a valid E.B.B. triple.
+func validateSession(s Session) error {
+	if !(s.Phi > 0) || math.IsInf(s.Phi, 1) || math.IsNaN(s.Phi) {
+		return fmt.Errorf("%w: session %s: phi = %v, want positive finite", ErrInvalidInput, s.Name, s.Phi)
+	}
+	if err := s.Arrival.Validate(); err != nil {
+		return fmt.Errorf("gpsmath: session %s: %w", s.Name, err)
+	}
+	return nil
 }
 
 // Release removes the session at index pos by swap-remove — the last
@@ -200,11 +209,115 @@ func (d *DeltaAnalyzer) Release(pos int) (*Analysis, error) {
 		}
 		seed = append(seed, v)
 	}
-	if err := d.refresh(seed); err != nil {
+	if err := d.refresh(seed, 0); err != nil {
 		d.sess, d.pRatio = prevSess, prevRatio
 		return nil, err
 	}
 	d.stats.Releases++
+	return d.an, nil
+}
+
+// DeltaOp is one population change for DeltaAnalyzer.Apply: the admit
+// of Session, or (Release set) the release of the session at index Pos
+// of the population as the earlier ops of the batch left it.
+type DeltaOp struct {
+	Release bool
+	Pos     int
+	Session Session
+}
+
+// Apply applies a batch of admits and releases in order — admits
+// append, releases swap-remove, exactly as the same sequence of Admit
+// and Release calls would — and refreshes the analysis once, at the
+// end. The result is bit-identical to that per-op replay: a refresh
+// reads only the final session slice, and the ordering it produces is
+// the unique (ratio, index) sort whatever seed it starts from. What the
+// batch saves is every intermediate refresh and every per-release copy
+// of the population: the slices are copied at most once, on the first
+// release. Admitted sessions are validated like Admit validates them.
+// A batch that empties the population returns (nil, nil). On error the
+// analyzer is left unchanged.
+func (d *DeltaAnalyzer) Apply(ops []DeltaOp) (*Analysis, error) {
+	if len(ops) == 0 {
+		return d.an, nil
+	}
+	n0 := len(d.sess)
+	sess, ratio := d.sess, d.pRatio
+	// origin[k] is the pre-batch index of the session at slot k, or -1
+	// for a session this batch admitted.
+	origin := make([]int, n0, n0+len(ops))
+	for k := range origin {
+		origin[k] = k
+	}
+	copied := false
+	var stats DeltaStats
+	for _, op := range ops {
+		if !op.Release {
+			if err := validateSession(op.Session); err != nil {
+				return nil, err
+			}
+			sess = append(sess, op.Session)
+			ratio = append(ratio, op.Session.Arrival.Rho/op.Session.Phi)
+			origin = append(origin, -1)
+			stats.Admits++
+			continue
+		}
+		n := len(sess)
+		if op.Pos < 0 || op.Pos >= n {
+			return nil, fmt.Errorf("%w: release position %d with %d sessions", ErrInvalidInput, op.Pos, n)
+		}
+		if !copied {
+			// First release: copy once, so published analyses keep the
+			// old slices intact; later ops edit the copy in place.
+			sess = append(make([]Session, 0, n+64), sess...)
+			ratio = append(make([]float64, 0, n+64), ratio...)
+			copied = true
+		}
+		last := n - 1
+		sess[op.Pos], ratio[op.Pos], origin[op.Pos] = sess[last], ratio[last], origin[last]
+		sess, ratio, origin = sess[:last], ratio[:last], origin[:last]
+		stats.Releases++
+	}
+	prevSess, prevRatio := d.sess, d.pRatio
+	d.sess, d.pRatio = sess, ratio
+	if len(sess) == 0 {
+		d.an = nil
+	} else {
+		// Seed the ordering repair with the previous permutation, renamed
+		// to the final slots and with released sessions dropped, followed
+		// by the sessions the batch admitted.
+		var seed []int
+		fresh := 0
+		if d.an != nil {
+			slot := make([]int, n0)
+			for k := range slot {
+				slot[k] = -1
+			}
+			for k, o := range origin {
+				if o >= 0 {
+					slot[o] = k
+				}
+			}
+			seed = make([]int, 0, len(sess))
+			for _, v := range d.an.Ordering {
+				if k := slot[v]; k >= 0 {
+					seed = append(seed, k)
+				}
+			}
+			for k, o := range origin {
+				if o < 0 {
+					seed = append(seed, k)
+					fresh++
+				}
+			}
+		}
+		if err := d.refresh(seed, fresh); err != nil {
+			d.sess, d.pRatio = prevSess, prevRatio
+			return nil, err
+		}
+	}
+	d.stats.Admits += stats.Admits
+	d.stats.Releases += stats.Releases
 	return d.an, nil
 }
 
@@ -236,7 +349,7 @@ func (d *DeltaAnalyzer) SetRate(rate float64) error {
 		// near-sorted candidate: only the slack shift nudges ratios.
 		seed = append(make([]int, 0, len(d.an.Ordering)), d.an.Ordering...)
 	}
-	if err := d.refresh(seed); err != nil {
+	if err := d.refresh(seed, 0); err != nil {
 		d.rate = prev
 		return err
 	}
@@ -255,7 +368,7 @@ func (d *DeltaAnalyzer) SetRate(rate float64) error {
 // periodic self-check re-runs the verified path against the same
 // population, so a violation could not persist silently even if the
 // rates were somehow inconsistent.
-func (d *DeltaAnalyzer) refresh(seed []int) error {
+func (d *DeltaAnalyzer) refresh(seed []int, fresh int) error {
 	srv := Server{Rate: d.rate, Sessions: d.sess}
 	var (
 		rates []float64
@@ -287,6 +400,9 @@ func (d *DeltaAnalyzer) refresh(seed []int) error {
 			ratio[i] = rates[i] / d.sess[i].Phi
 		}
 		ord = seed
+		if fresh > 0 {
+			mergeFresh(ord, fresh, ratio)
+		}
 		if repairOrder(ord, ratio) {
 			d.stats.OrderRepairs++
 		} else {
@@ -365,6 +481,29 @@ func (d *DeltaAnalyzer) partition(srv Server) (Partition, error) {
 		remaining -= len(class)
 	}
 	return p, nil
+}
+
+// mergeFresh sorts the last fresh entries of ord by (ratio, index) and
+// merges them into the entries before them, back to front so the merge
+// needs scratch only for the fresh block. The head is only near-sorted,
+// so the result is near-sorted too; repairOrder finishes the job.
+func mergeFresh(ord []int, fresh int, ratio []float64) {
+	h := len(ord) - fresh
+	tail := append([]int(nil), ord[h:]...)
+	sort.Sort(ratioOrder{idx: tail, ratio: ratio})
+	less := func(a, b int) bool {
+		return ratio[a] < ratio[b] || (ratio[a] == ratio[b] && a < b)
+	}
+	i, j := h-1, fresh-1
+	for k := len(ord) - 1; j >= 0; k-- {
+		if i >= 0 && less(tail[j], ord[i]) {
+			ord[k] = ord[i]
+			i--
+		} else {
+			ord[k] = tail[j]
+			j--
+		}
+	}
 }
 
 // repairOrder insertion-sorts ord by (ratio, index) in place, assuming

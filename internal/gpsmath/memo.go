@@ -3,6 +3,7 @@ package gpsmath
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/ebb"
 	"repro/internal/numeric"
@@ -74,6 +75,14 @@ func (t mgfTerm) eval(u float64, mode XiMode) float64 {
 // value, so this costs no allocation and reproduces the retired terms
 // array bit for bit) — materializing them was an O(N) block the per-op
 // DeltaAnalyzer path would pay on every epoch.
+//
+// Predecessors whose Lemma 6 terms are bit-identical — same E.B.B.
+// triple and same decomposed rate, as every session of one declared type
+// has — form runs of consecutive positions, because the (r/φ, index)
+// order sorts equal ratios next to each other. The prefactor closures
+// evaluate one factor per run and multiply it in once per member, so a
+// θ-scan over a population of a few dozen types costs O(types) Lemma 6
+// evaluations per θ instead of O(N) (see foldRuns).
 type orderingMemo struct {
 	s        Server
 	ord      []int
@@ -88,6 +97,13 @@ type orderingMemo struct {
 	// so the Theorem 8 auto-exponent path reproduces its partial sums
 	// bit for bit from a prefix lookup instead of an O(pos) rebuild.
 	preInvA []float64
+
+	// runEnd[pos] is one past the last position of the run of identical
+	// terms that contains pos. It is built on the first prefactor
+	// evaluation, not with the memo: the DeltaAnalyzer builds a memo per
+	// epoch and most epochs never evaluate the ordering route.
+	runOnce sync.Once
+	runEnd  []int32
 }
 
 func (s Server) newOrderingMemo(ord []int, rates []float64) *orderingMemo {
@@ -144,6 +160,59 @@ func (m *orderingMemo) termOf(j int) mgfTerm {
 	return singleTerm(arr, m.rates[j]-arr.Rho)
 }
 
+// sameTerm reports whether sessions a and b contribute bit-identical
+// Lemma 6 factors: termOf reads only the arrival triple and the
+// decomposed rate, and the Theorem 8 auto exponent only the decay rate.
+func (m *orderingMemo) sameTerm(a, b int) bool {
+	pa, pb := m.s.Sessions[a].Arrival, m.s.Sessions[b].Arrival
+	return math.Float64bits(pa.Rho) == math.Float64bits(pb.Rho) &&
+		math.Float64bits(pa.Lambda) == math.Float64bits(pb.Lambda) &&
+		math.Float64bits(pa.Alpha) == math.Float64bits(pb.Alpha) &&
+		math.Float64bits(m.rates[a]) == math.Float64bits(m.rates[b])
+}
+
+// runEnds returns the run table, building it on first use. The memo is
+// shared by every reader of a published epoch, hence the sync.Once.
+func (m *orderingMemo) runEnds() []int32 {
+	m.runOnce.Do(func() {
+		n := len(m.ord)
+		ends := make([]int32, n)
+		for pos := n - 1; pos >= 0; pos-- {
+			if pos+1 < n && m.sameTerm(m.ord[pos], m.ord[pos+1]) {
+				ends[pos] = ends[pos+1]
+			} else {
+				ends[pos] = int32(pos + 1)
+			}
+		}
+		m.runEnd = ends
+	})
+	return m.runEnd
+}
+
+// foldRuns multiplies into lam the factor of every predecessor in
+// ord[:pos], left to right, returning +Inf as soon as the product
+// overflows. factor(j) is evaluated once per run and reused for the
+// run's other members: their factors are bit-identical, so the sequence
+// of multiplications — and the result, down to the early exit in the
+// middle of a run — is the per-predecessor loop's.
+func (m *orderingMemo) foldRuns(lam float64, pos int, factor func(j int) float64) float64 {
+	runEnd := m.runEnds()
+	for k := 0; k < pos; {
+		end := int(runEnd[k])
+		if end > pos {
+			end = pos
+		}
+		f := factor(m.ord[k])
+		for ; k < end; k++ {
+			lam *= f
+			if math.IsInf(lam, 1) {
+				return math.Inf(1)
+			}
+		}
+	}
+	return lam
+}
+
 // theorem7 is the memoized body of Server.Theorem7.
 func (m *orderingMemo) theorem7(pos int, mode XiMode) (*SessionBounds, error) {
 	sb := new(SessionBounds)
@@ -169,20 +238,15 @@ func (m *orderingMemo) theorem7Into(sb *SessionBounds, pos int, mode XiMode) err
 		thetaMax = lim
 	}
 
-	ahead := m.ord[:pos]
 	self := m.termOf(i)
 	prefactor := func(theta float64) float64 {
 		if theta <= 0 || theta >= thetaMax {
 			return math.Inf(1)
 		}
-		lam := self.eval(theta, mode)
-		for _, j := range ahead {
-			lam *= m.termOf(j).eval(psi*theta, mode)
-			if math.IsInf(lam, 1) {
-				return math.Inf(1)
-			}
-		}
-		return lam
+		u := psi * theta
+		return m.foldRuns(self.eval(theta, mode), pos, func(j int) float64 {
+			return m.termOf(j).eval(u, mode)
+		})
 	}
 	*sb = SessionBounds{
 		Name:      sess.Name,
@@ -241,15 +305,10 @@ func (m *orderingMemo) theorem8Into(sb *SessionBounds, pos int, ps []float64, mo
 				return math.Inf(1)
 			}
 			lam := math.Pow(self.eval(pSelf*theta, mode), 1/pSelf)
-			for _, j := range ahead {
+			return m.foldRuns(lam, pos, func(j int) float64 {
 				pj := sessions[j].Arrival.Alpha * inv
-				mj := m.termOf(j).eval(pj*psi*theta, mode)
-				lam *= math.Pow(mj, 1/pj)
-				if math.IsInf(lam, 1) {
-					return math.Inf(1)
-				}
-			}
-			return lam
+				return math.Pow(m.termOf(j).eval(pj*psi*theta, mode), 1/pj)
+			})
 		}
 		*sb = SessionBounds{
 			Name:      sess.Name,

@@ -261,3 +261,56 @@ func (m *partitionMemo) theorem12RefInto(sb *SessionBounds, i int, ps []float64,
 	}
 	return nil
 }
+
+// foldPerTermRef is the Theorem 7/8 predecessor loop the run kernel
+// (orderingMemo.foldRuns) replaced: one factor evaluation per
+// predecessor per θ, left to right, with the +Inf early exit. The
+// second result is the ordering position at which the product
+// overflowed, or -1.
+func (m *orderingMemo) foldPerTermRef(lam float64, pos int, factor func(j int) float64) (float64, int) {
+	for k, j := range m.ord[:pos] {
+		lam *= factor(j)
+		if math.IsInf(lam, 1) {
+			return math.Inf(1), k
+		}
+	}
+	return lam, -1
+}
+
+// theorem7PrefactorRef is the per-term Theorem 7 prefactor (eq. 26 with
+// the chosen ξ) for the session at ordering position pos, cut off at
+// thetaMax like the production closure.
+func (m *orderingMemo) theorem7PrefactorRef(pos int, thetaMax float64, mode XiMode) func(float64) (float64, int) {
+	i := m.ord[pos]
+	psi := m.s.Sessions[i].Phi / m.tailPhi[pos]
+	self := m.termOf(i)
+	return func(theta float64) (float64, int) {
+		if theta <= 0 || theta >= thetaMax {
+			return math.Inf(1), -1
+		}
+		return m.foldPerTermRef(self.eval(theta, mode), pos, func(j int) float64 {
+			return m.termOf(j).eval(psi*theta, mode)
+		})
+	}
+}
+
+// theorem8AutoPrefactorRef is the per-term Theorem 8 prefactor with the
+// decay-rate-maximizing Hölder exponents p_j = α_j·Σ1/α.
+func (m *orderingMemo) theorem8AutoPrefactorRef(pos int, thetaMax float64, mode XiMode) func(float64) (float64, int) {
+	i := m.ord[pos]
+	sess := m.s.Sessions[i]
+	psi := sess.Phi / m.tailPhi[pos]
+	inv := m.preInvA[pos] + 1/sess.Arrival.Alpha
+	pSelf := sess.Arrival.Alpha * inv
+	self := m.termOf(i)
+	return func(theta float64) (float64, int) {
+		if theta <= 0 || theta >= thetaMax {
+			return math.Inf(1), -1
+		}
+		lam := math.Pow(self.eval(pSelf*theta, mode), 1/pSelf)
+		return m.foldPerTermRef(lam, pos, func(j int) float64 {
+			pj := m.s.Sessions[j].Arrival.Alpha * inv
+			return math.Pow(m.termOf(j).eval(pj*psi*theta, mode), 1/pj)
+		})
+	}
+}

@@ -56,13 +56,19 @@ func TestConcurrentChurnEpochInvariants(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var netAdmitted atomic.Int64
+	// The churn must span several published epochs for the checker to
+	// test anything concurrent. Epochs publish on a 5 ms clock, and a
+	// fast enough daemon finishes iters ops within one or two of them,
+	// so workers keep churning past iters until the checker has seen a
+	// few epochs (bounded by a deadline; the assertion below stands).
+	deadline := time.Now().Add(5 * time.Second)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := source.NewRNG(uint64(w)*7919 + 1)
 			var mine []uint64
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters || (epochsSeen.Load() < 4 && time.Now().Before(deadline)); i++ {
 				switch {
 				case len(mine) == 0 || (len(mine) < maxOwn && rng.Float64() < 0.55):
 					res, err := d.Admit(testTypes[rng.Intn(len(testTypes))])

@@ -164,25 +164,30 @@ func (d *Daemon) deltaEligible() bool {
 	return len(d.pending) <= lim
 }
 
-// buildEpochDelta replays the pending ops through the incremental
-// analyzer and the shadow arrays. A nil return means an op was refused
-// (cannot happen while the admission invariant holds); the analyzer is
-// dropped so the caller's full rebuild reseeds everything
+// buildEpochDelta applies the pending ops to the incremental analyzer
+// as one batch (one refresh, at most one copy of the population) and
+// replays them into the shadow arrays. A nil return means the batch was
+// refused (cannot happen while the admission invariant holds); the
+// analyzer is dropped so the caller's full rebuild reseeds everything
 // consistently.
 func (d *Daemon) buildEpochDelta(seq uint64) *Epoch {
-	for _, po := range d.pending {
+	ops := make([]gpsmath.DeltaOp, len(d.pending))
+	for k, po := range d.pending {
 		if po.admit {
 			rec := po.rec
-			if _, err := d.delta.Admit(gpsmath.Session{Name: rec.Name, Phi: rec.G, Arrival: rec.Arrival}); err != nil {
-				d.delta = nil
-				return nil
-			}
-			d.shadowAdmit(rec)
+			ops[k].Session = gpsmath.Session{Name: rec.Name, Phi: rec.G, Arrival: rec.Arrival}
 		} else {
-			if _, err := d.delta.Release(po.pos); err != nil {
-				d.delta = nil
-				return nil
-			}
+			ops[k] = gpsmath.DeltaOp{Release: true, Pos: po.pos}
+		}
+	}
+	if _, err := d.delta.Apply(ops); err != nil {
+		d.delta = nil
+		return nil
+	}
+	for _, po := range d.pending {
+		if po.admit {
+			d.shadowAdmit(po.rec)
+		} else {
 			d.shadowRelease(po.pos, po.rec.ID)
 		}
 	}
@@ -526,13 +531,17 @@ type BoundsReport struct {
 // delay level dly (zero selects defaults: the declared target delay and
 // the backlog the guaranteed rate clears over it). The second return is
 // false when the id is not in this epoch.
+//
+// The report takes three best-of-both-routes values — the achieved eps
+// at the target delay, the delay tail at dly and the backlog tail at q —
+// and each is a route's BacklogTail at some backlog level (DelayTail(d)
+// is BacklogTail(G·d)). At the default points all three levels coincide,
+// so each route evaluates every distinct level once: one θ-scan per
+// route instead of three, with the values BestDelayTailValue and
+// BestBacklogTailValue would return bit for bit.
 func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
-	i, ok := ep.IndexOf(id)
-	if !ok || ep.Analysis == nil {
-		return BoundsReport{}, false
-	}
-	b := ep.Analysis.PartitionBound(i)
-	if b == nil {
+	i, b, ok := ep.boundsAt(id)
+	if !ok {
 		return BoundsReport{}, false
 	}
 	t := ep.Targets[i]
@@ -542,7 +551,15 @@ func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 	if q <= 0 {
 		q = b.G * dly
 	}
-	achieved := ep.Analysis.BestDelayTailValue(i, t.Delay)
+	part := routeTails{b: b}
+	ord := routeTails{b: ep.Analysis.OrderingBound(i)}
+	best := func(v, w float64) float64 {
+		if w < v {
+			return w
+		}
+		return v
+	}
+	achieved := best(part.delay(t.Delay), ord.delay(t.Delay))
 	return BoundsReport{
 		ID:          id,
 		Name:        b.Name,
@@ -551,12 +568,65 @@ func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 		Rho:         b.Rho,
 		Theorem:     b.Theorem,
 		Q:           q,
-		BacklogProb: ep.Analysis.BestBacklogTailValue(i, q),
+		BacklogProb: best(part.at(q), ord.at(q)),
 		Delay:       dly,
-		DelayProb:   ep.Analysis.BestDelayTailValue(i, dly),
+		DelayProb:   best(part.delay(dly), ord.delay(dly)),
 		TargetDelay: t.Delay,
 		TargetEps:   t.Eps,
 		AchievedEps: achieved,
 		MeetsTarget: achieved <= t.Eps,
 	}, true
+}
+
+// HasBounds reports whether BoundsFor would answer for id, without
+// evaluating a bound.
+func (ep *Epoch) HasBounds(id uint64) bool {
+	_, _, ok := ep.boundsAt(id)
+	return ok
+}
+
+// boundsAt resolves id to its index and partition-route bound, the
+// precondition every bounds reply shares.
+func (ep *Epoch) boundsAt(id uint64) (int, *gpsmath.SessionBounds, bool) {
+	i, ok := ep.IndexOf(id)
+	if !ok || ep.Analysis == nil {
+		return 0, nil, false
+	}
+	b := ep.Analysis.PartitionBound(i)
+	return i, b, b != nil
+}
+
+// routeTails memoizes one route's BacklogTail by the Float64bits of the
+// backlog level, for the at most three levels one BoundsFor evaluates.
+// A nil bound (no route) reads +Inf, as in the Analysis Best* helpers.
+type routeTails struct {
+	b    *gpsmath.SessionBounds
+	n    int
+	lvl  [3]uint64
+	tail [3]float64
+}
+
+// delay is the route's DelayTail(d), which is BacklogTail(G·d).
+func (r *routeTails) delay(d float64) float64 {
+	if r.b == nil {
+		return math.Inf(1)
+	}
+	return r.at(r.b.G * d)
+}
+
+// at is the route's BacklogTail(q).
+func (r *routeTails) at(q float64) float64 {
+	if r.b == nil {
+		return math.Inf(1)
+	}
+	bits := math.Float64bits(q)
+	for k := 0; k < r.n; k++ {
+		if r.lvl[k] == bits {
+			return r.tail[k]
+		}
+	}
+	v := r.b.BacklogTail(q)
+	r.lvl[r.n], r.tail[r.n] = bits, v
+	r.n++
+	return v
 }

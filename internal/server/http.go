@@ -90,6 +90,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 //	POST   /v1/admit          admission decision (429 + Retry-After under backpressure)
 //	DELETE /v1/sessions/{id}  release
 //	GET    /v1/bounds/{id}    per-session tails from the published epoch (?q=&d=)
+//	HEAD   /v1/bounds/{id}    GET's status (200, 425, 404, 400) without evaluating a bound
 //	GET    /v1/partition      feasible partition H_1..H_L (?shard= selects one shard)
 //	GET    /healthz           liveness + epoch/session gauges
 //	GET    /metrics           Prometheus text format
@@ -123,6 +124,12 @@ func NewHandler(svc Service) http.Handler {
 // handler adapts a Service to the HTTP wire shapes.
 type handler struct {
 	svc Service
+}
+
+// writeHead answers a HEAD request: GET's headers and status, no body.
+func writeHead(w http.ResponseWriter, status int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -345,32 +352,53 @@ func parseEvalPoint(r *http.Request, key string) (float64, error) {
 	return v, nil
 }
 
+// handleBounds serves GET and HEAD (ServeMux routes HEAD through GET
+// patterns). HEAD answers with the status GET would, from an existence
+// check on the published epoch, so a prober pays for no θ-scan.
 func (h *handler) handleBounds(w http.ResponseWriter, r *http.Request) {
+	head := r.Method == http.MethodHead
+	fail := func(status int, e errorResponse) {
+		if head {
+			writeHead(w, status)
+			return
+		}
+		writeJSON(w, status, e)
+	}
 	id, err := parseID(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed session id"})
+		fail(http.StatusBadRequest, errorResponse{Error: "malformed session id"})
 		return
 	}
 	q, err := parseEvalPoint(r, "q")
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		fail(http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	dly, err := parseEvalPoint(r, "d")
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		fail(http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	rep, ok := h.svc.Bounds(id, q, dly)
+	var rep BoundsReport
+	ok := false
+	if head {
+		ok = h.svc.HasBounds(id)
+	} else {
+		rep, ok = h.svc.Bounds(id, q, dly)
+	}
 	if !ok {
 		if h.svc.Pending(id) {
 			// Admitted after the current epoch was built: the next
 			// rebuild (bounded by MaxEpochAge) will carry it.
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(h.svc.EpochAgeBound().Seconds()))+1))
-			writeJSON(w, http.StatusTooEarly, errorResponse{Error: "session not yet in published epoch", Retry: true})
+			fail(http.StatusTooEarly, errorResponse{Error: "session not yet in published epoch", Retry: true})
 			return
 		}
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown session id"})
+		fail(http.StatusNotFound, errorResponse{Error: "unknown session id"})
+		return
+	}
+	if head {
+		writeHead(w, http.StatusOK)
 		return
 	}
 	writeJSON(w, http.StatusOK, boundsWire{

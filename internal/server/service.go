@@ -31,6 +31,10 @@ type Service interface {
 	// Bounds evaluates session id's tail bounds from the epoch that
 	// owns it; false when the id is in no published epoch.
 	Bounds(id uint64, q, dly float64) (BoundsReport, bool)
+	// HasBounds reports whether Bounds would answer for id, from an
+	// existence check on the published epoch that evaluates no bound
+	// (HEAD /v1/bounds/{id}).
+	HasBounds(id uint64) bool
 	// Partition returns one shard's feasible partition (shard >= 0) or
 	// the composed view of every shard in shard order (shard < 0).
 	// errNoShard when the shard index does not exist.
@@ -80,6 +84,9 @@ type HealthView struct {
 func (d *Daemon) Bounds(id uint64, q, dly float64) (BoundsReport, bool) {
 	return d.CurrentEpoch().BoundsFor(id, q, dly)
 }
+
+// HasBounds implements Service over the current epoch.
+func (d *Daemon) HasBounds(id uint64) bool { return d.CurrentEpoch().HasBounds(id) }
 
 // EpochAgeBound implements Service.
 func (d *Daemon) EpochAgeBound() time.Duration { return d.cfg.MaxEpochAge }

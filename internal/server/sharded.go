@@ -313,6 +313,12 @@ func (s *Sharded) Bounds(id uint64, q, dly float64) (BoundsReport, bool) {
 	return s.shards[k].Bounds(id, q, dly)
 }
 
+// HasBounds implements Service: the owning shard's epoch answers.
+func (s *Sharded) HasBounds(id uint64) bool {
+	k := s.shardOf(id)
+	return k >= 0 && s.shards[k].HasBounds(id)
+}
+
 // Partition implements Service. shard >= 0 selects one shard's epoch;
 // shard < 0 concatenates every shard's classes in shard order (the
 // composed global view: each shard's classes are the eqs. 37–39

@@ -10,6 +10,12 @@
 // That keeps the gate deterministic — CI never benchmarks a loaded
 // shared runner.
 //
+// Two snapshots are comparable only if one host produced both: benchjson
+// stamps each with the CPU model `go test` reports and GOMAXPROCS, and
+// the gate fails when the two newest stamps differ (measure the parent
+// commit on the same host and commit that snapshot first). Two unstamped
+// snapshots, written before the stamp existed, compare as before.
+//
 //	go run ./tools/benchcmp            # compare two newest in .
 //	go run ./tools/benchcmp -max 0.10  # tighter gate
 package main
@@ -18,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,6 +61,8 @@ var hotPaths = []string{
 	"AnalyzeCRSTScaling/sessions-1000",
 	"AnalyzeCRSTScaling/sessions-10000",
 	"AnalyzeCRSTScaling/hops-63",
+	"BoundsRead/sessions-10000",
+	"BoundsRead/distinct-200",
 	"TreeSimSharded",
 	"TailInterleaved",
 }
@@ -66,22 +75,37 @@ type result struct {
 type snapshot struct {
 	Date       string   `json:"date"`
 	Benchmarks []result `json:"benchmarks"`
+	host
 }
 
-func load(path string) (map[string]float64, string, error) {
+// host is the snapshot's stamp; the zero value marks a legacy,
+// unstamped snapshot.
+type host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (h host) String() string {
+	if h == (host{}) {
+		return "unstamped"
+	}
+	return fmt.Sprintf("cpu %q, GOMAXPROCS %d", h.CPU, h.GOMAXPROCS)
+}
+
+func load(path string) (map[string]float64, host, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return nil, host{}, err
 	}
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
+		return nil, host{}, fmt.Errorf("%s: %w", path, err)
 	}
 	m := make(map[string]float64, len(snap.Benchmarks))
 	for _, b := range snap.Benchmarks {
 		m[b.Name] = b.NsPerOp
 	}
-	return m, snap.Date, nil
+	return m, snap.host, nil
 }
 
 func main() {
@@ -94,30 +118,41 @@ func main() {
 	if *list != "" {
 		names = strings.Split(*list, ",")
 	}
-	files, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
-	if err != nil {
+	if err := compare(os.Stdout, *dir, *max, names); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(1)
+	}
+}
+
+// compare runs the gate over the two newest snapshots in dir, writing
+// the per-benchmark report to w. A nil error means the gate passed.
+func compare(w io.Writer, dir string, max float64, names []string) error {
+	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return err
 	}
 	sort.Strings(files)
 	if len(files) < 2 {
-		fmt.Printf("benchcmp: %d snapshot(s) in %s, nothing to compare\n", len(files), *dir)
-		return
+		fmt.Fprintf(w, "benchcmp: %d snapshot(s) in %s, nothing to compare\n", len(files), dir)
+		return nil
 	}
 	oldPath, newPath := files[len(files)-2], files[len(files)-1]
-	oldNs, _, err := load(oldPath)
+	oldNs, oldHost, err := load(oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+		return err
 	}
-	newNs, _, err := load(newPath)
+	newNs, newHost, err := load(newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+		return err
+	}
+	if oldHost != newHost {
+		return fmt.Errorf("%s (%s) and %s (%s) come from different hosts; "+
+			"measure the parent on this host (`make bench` at the parent commit), commit that snapshot, then the new one",
+			filepath.Base(oldPath), oldHost, filepath.Base(newPath), newHost)
 	}
 
-	fmt.Printf("benchcmp: %s -> %s (hot-path gate: +%.0f%% ns/op)\n",
-		filepath.Base(oldPath), filepath.Base(newPath), *max*100)
+	fmt.Fprintf(w, "benchcmp: %s -> %s (hot-path gate: +%.0f%% ns/op)\n",
+		filepath.Base(oldPath), filepath.Base(newPath), max*100)
 	failed := 0
 	for _, name := range names {
 		o, inOld := oldNs[name]
@@ -126,23 +161,23 @@ func main() {
 		case !inOld && !inNew:
 			continue
 		case !inNew:
-			fmt.Printf("  FAIL %-34s removed from newest snapshot\n", name)
+			fmt.Fprintf(w, "  FAIL %-34s removed from newest snapshot\n", name)
 			failed++
 		case !inOld:
-			fmt.Printf("  new  %-34s %12.1f ns/op (no baseline)\n", name, n)
+			fmt.Fprintf(w, "  new  %-34s %12.1f ns/op (no baseline)\n", name, n)
 		default:
 			delta := n/o - 1
 			verdict := "ok  "
-			if delta > *max {
+			if delta > max {
 				verdict = "FAIL"
 				failed++
 			}
-			fmt.Printf("  %s %-34s %12.1f -> %12.1f ns/op (%+.1f%%)\n", verdict, name, o, n, delta*100)
+			fmt.Fprintf(w, "  %s %-34s %12.1f -> %12.1f ns/op (%+.1f%%)\n", verdict, name, o, n, delta*100)
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: %d hot-path benchmark(s) regressed beyond +%.0f%%\n", failed, *max*100)
-		os.Exit(1)
+		return fmt.Errorf("%d hot-path benchmark(s) regressed beyond +%.0f%%", failed, max*100)
 	}
-	fmt.Println("benchcmp: hot paths within budget")
+	fmt.Fprintln(w, "benchcmp: hot paths within budget")
+	return nil
 }

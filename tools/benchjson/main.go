@@ -8,6 +8,10 @@
 // collapse to the fastest one: background load on a shared machine
 // only ever inflates ns/op, so the per-name minimum is the stable
 // noise floor that makes two snapshots comparable.
+//
+// Each snapshot is stamped with the host that produced it: the `cpu:`
+// line `go test` prints and GOMAXPROCS. benchcmp compares only
+// snapshots whose stamps agree.
 package main
 
 import (
@@ -34,15 +38,18 @@ type snapshot struct {
 	GoVersion  string   `json:"go_version"`
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
+	CPU        string   `json:"cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
 	Benchmarks []result `json:"benchmarks"`
 }
 
 func main() {
 	snap := snapshot{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Date:       time.Now().UTC().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -51,6 +58,9 @@ func main() {
 		line := sc.Text()
 		r, ok := parse(line)
 		if !ok {
+			if cpu, found := strings.CutPrefix(line, "cpu: "); found && snap.CPU == "" {
+				snap.CPU = strings.TrimSpace(cpu)
+			}
 			fmt.Fprintln(os.Stderr, line)
 			continue
 		}
