@@ -10,7 +10,7 @@ import (
 // holds the session population and the structures AnalyzeServer would
 // rebuild from scratch — the ρ/φ ratios behind the feasible partition
 // (eqs. 37–39) and the feasible ordering of eq. (5) — and patches them
-// under single-session admits and releases instead of re-deriving them.
+// under batches of admits and releases instead of re-deriving them.
 //
 // The contract is bit-identity: every Analysis a DeltaAnalyzer produces
 // evaluates every bound to the same Float64bits as a fresh
@@ -54,8 +54,8 @@ type DeltaStats struct {
 	OrderRepairs, OrderSorts uint64
 }
 
-// DeltaAnalyzer maintains an Analysis across single-session admits and
-// releases in O(affected) structural work per operation. It is not
+// DeltaAnalyzer maintains an Analysis across batches of admits and
+// releases in O(affected) structural work per batch. It is not
 // goroutine-safe; the intended owner is a single writer (the gpsd
 // rebuild loop) that publishes the returned analyses to readers via
 // epoch snapshots. Returned analyses are immutable and remain valid
@@ -123,34 +123,21 @@ func (d *DeltaAnalyzer) Server() Server { return Server{Rate: d.rate, Sessions: 
 // Stats returns operation counters.
 func (d *DeltaAnalyzer) Stats() DeltaStats { return d.stats }
 
-// Admit appends one session and refreshes the analysis. The new session
-// is validated like Server.Validate would (positive finite φ, valid
-// E.B.B. triple); stability (Σρ < r) is enforced by the refresh. On
-// error the analyzer is left unchanged.
+// Admit appends one session and refreshes the analysis: a one-op Apply.
+// The new session is validated like Server.Validate would (positive
+// finite φ, valid E.B.B. triple); stability (Σρ < r) is enforced by the
+// refresh. On error the analyzer is left unchanged.
 func (d *DeltaAnalyzer) Admit(s Session) (*Analysis, error) {
-	if err := validateSession(s); err != nil {
-		return nil, err
-	}
-	prevSess, prevRatio := d.sess, d.pRatio
-	// Append-share: old epochs hold the shorter slice headers; extending
-	// the backing arrays past their length never perturbs them. (A
-	// failed admit that already grew the backing array is harmless for
-	// the same reason — the entry is overwritten by the next append.)
-	d.sess = append(d.sess, s)
-	d.pRatio = append(d.pRatio, s.Arrival.Rho/s.Phi)
-	var seed []int
-	if d.an != nil {
-		n := len(prevSess)
-		seed = make([]int, n+1)
-		copy(seed, d.an.Ordering)
-		seed[n] = n
-	}
-	if err := d.refresh(seed, 0); err != nil {
-		d.sess, d.pRatio = prevSess, prevRatio
-		return nil, err
-	}
-	d.stats.Admits++
-	return d.an, nil
+	return d.Apply([]DeltaOp{{Session: s}})
+}
+
+// Release removes the session at index pos by swap-remove — the last
+// session moves into slot pos, matching the daemon's order-array
+// discipline — and refreshes the analysis: a one-op Apply. Releasing
+// the final session returns (nil, nil) and empties the analyzer. On
+// error the analyzer is left unchanged.
+func (d *DeltaAnalyzer) Release(pos int) (*Analysis, error) {
+	return d.Apply([]DeltaOp{{Release: true, Pos: pos}})
 }
 
 // validateSession checks an admitted session like Server.Validate
@@ -165,58 +152,6 @@ func validateSession(s Session) error {
 	return nil
 }
 
-// Release removes the session at index pos by swap-remove — the last
-// session moves into slot pos, matching the daemon's order-array
-// discipline — and refreshes the analysis. Releasing the final session
-// returns (nil, nil) and empties the analyzer. On error the analyzer is
-// left unchanged.
-func (d *DeltaAnalyzer) Release(pos int) (*Analysis, error) {
-	n := len(d.sess)
-	if pos < 0 || pos >= n {
-		return nil, fmt.Errorf("%w: release position %d with %d sessions", ErrInvalidInput, pos, n)
-	}
-	last := n - 1
-	prevSess, prevRatio := d.sess, d.pRatio
-	// Releases mutate interior slots, so old epochs need the old arrays
-	// intact: copy fresh instead of editing in place. The spare capacity
-	// lets the admits that follow extend append-share without paying a
-	// second full-array copy (admit/release churn would otherwise copy
-	// the population twice per cycle).
-	ns := make([]Session, last, last+64)
-	nr := make([]float64, last, last+64)
-	copy(ns, d.sess[:last])
-	copy(nr, d.pRatio[:last])
-	if pos != last {
-		ns[pos] = d.sess[last]
-		nr[pos] = d.pRatio[last]
-	}
-	d.sess, d.pRatio = ns, nr
-	if last == 0 {
-		d.an = nil
-		d.stats.Releases++
-		return nil, nil
-	}
-	// Seed the ordering repair with the previous permutation, dropping
-	// the released session and renaming the moved one (index last is
-	// now index pos).
-	seed := make([]int, 0, last)
-	for _, v := range d.an.Ordering {
-		if v == pos {
-			continue
-		}
-		if v == last {
-			v = pos
-		}
-		seed = append(seed, v)
-	}
-	if err := d.refresh(seed, 0); err != nil {
-		d.sess, d.pRatio = prevSess, prevRatio
-		return nil, err
-	}
-	d.stats.Releases++
-	return d.an, nil
-}
-
 // DeltaOp is one population change for DeltaAnalyzer.Apply: the admit
 // of Session, or (Release set) the release of the session at index Pos
 // of the population as the earlier ops of the batch left it.
@@ -227,98 +162,157 @@ type DeltaOp struct {
 }
 
 // Apply applies a batch of admits and releases in order — admits
-// append, releases swap-remove, exactly as the same sequence of Admit
-// and Release calls would — and refreshes the analysis once, at the
-// end. The result is bit-identical to that per-op replay: a refresh
-// reads only the final session slice, and the ordering it produces is
-// the unique (ratio, index) sort whatever seed it starts from. What the
-// batch saves is every intermediate refresh and every per-release copy
-// of the population: the slices are copied at most once, on the first
-// release. Admitted sessions are validated like Admit validates them.
-// A batch that empties the population returns (nil, nil). On error the
-// analyzer is left unchanged.
+// append, releases swap-remove — and refreshes the analysis once, at
+// the end. The result is bit-identical to applying the ops one at a
+// time: a refresh reads only the final session slice, and the ordering
+// it produces is the unique (ratio, index) sort whatever seed it starts
+// from. What a batch saves is every intermediate refresh and every
+// per-release copy of the population: the slices are copied at most
+// once, on the first release. Admitted sessions are validated like
+// Server.Validate would. A batch that empties the population returns
+// (nil, nil). On error the analyzer is left unchanged.
+//
+// Old epochs need the old arrays intact. Admits extend the backing
+// arrays past every published length (append-share), which never
+// perturbs a shorter slice header; a failed batch that already grew
+// them is harmless for the same reason. Releases edit interior slots,
+// so the first one copies the slices, with spare capacity for the
+// admits that follow.
 func (d *DeltaAnalyzer) Apply(ops []DeltaOp) (*Analysis, error) {
 	if len(ops) == 0 {
 		return d.an, nil
 	}
-	n0 := len(d.sess)
-	sess, ratio := d.sess, d.pRatio
-	// origin[k] is the pre-batch index of the session at slot k, or -1
-	// for a session this batch admitted.
-	origin := make([]int, n0, n0+len(ops))
-	for k := range origin {
-		origin[k] = k
-	}
-	copied := false
-	var stats DeltaStats
+	b := deltaBatch{sess: d.sess, ratio: d.pRatio, n0: len(d.sess)}
 	for _, op := range ops {
-		if !op.Release {
-			if err := validateSession(op.Session); err != nil {
-				return nil, err
-			}
-			sess = append(sess, op.Session)
-			ratio = append(ratio, op.Session.Arrival.Rho/op.Session.Phi)
-			origin = append(origin, -1)
-			stats.Admits++
-			continue
+		if err := b.apply(op); err != nil {
+			return nil, err
 		}
-		n := len(sess)
-		if op.Pos < 0 || op.Pos >= n {
-			return nil, fmt.Errorf("%w: release position %d with %d sessions", ErrInvalidInput, op.Pos, n)
-		}
-		if !copied {
-			// First release: copy once, so published analyses keep the
-			// old slices intact; later ops edit the copy in place.
-			sess = append(make([]Session, 0, n+64), sess...)
-			ratio = append(make([]float64, 0, n+64), ratio...)
-			copied = true
-		}
-		last := n - 1
-		sess[op.Pos], ratio[op.Pos], origin[op.Pos] = sess[last], ratio[last], origin[last]
-		sess, ratio, origin = sess[:last], ratio[:last], origin[:last]
-		stats.Releases++
 	}
 	prevSess, prevRatio := d.sess, d.pRatio
-	d.sess, d.pRatio = sess, ratio
-	if len(sess) == 0 {
+	d.sess, d.pRatio = b.sess, b.ratio
+	if len(b.sess) == 0 {
 		d.an = nil
 	} else {
-		// Seed the ordering repair with the previous permutation, renamed
-		// to the final slots and with released sessions dropped, followed
-		// by the sessions the batch admitted.
 		var seed []int
 		fresh := 0
 		if d.an != nil {
-			slot := make([]int, n0)
-			for k := range slot {
-				slot[k] = -1
-			}
-			for k, o := range origin {
-				if o >= 0 {
-					slot[o] = k
-				}
-			}
-			seed = make([]int, 0, len(sess))
-			for _, v := range d.an.Ordering {
-				if k := slot[v]; k >= 0 {
-					seed = append(seed, k)
-				}
-			}
-			for k, o := range origin {
-				if o < 0 {
-					seed = append(seed, k)
-					fresh++
-				}
-			}
+			seed, fresh = d.seedOrdering(b.n0, len(b.sess), b.moved)
 		}
 		if err := d.refresh(seed, fresh); err != nil {
 			d.sess, d.pRatio = prevSess, prevRatio
 			return nil, err
 		}
 	}
-	d.stats.Admits += stats.Admits
-	d.stats.Releases += stats.Releases
+	d.stats.Admits += b.admits
+	d.stats.Releases += b.releases
 	return d.an, nil
+}
+
+// deltaBatch is the population an Apply batch edits, op by op.
+type deltaBatch struct {
+	sess  []Session
+	ratio []float64
+	// n0 is the population size before the batch. moved records the
+	// slots below n0 whose occupant the batch changed: slot → pre-batch
+	// index of the session now there, or -1 for one the batch admitted.
+	// A swap-remove only moves a session down, so pre-batch sessions
+	// never reach a slot at or past n0, and a slot absent from moved
+	// still holds its own pre-batch session. moved stays nil until the
+	// first release, which is also when the slices are copied.
+	n0               int
+	moved            map[int]int
+	admits, releases uint64
+}
+
+func (b *deltaBatch) apply(op DeltaOp) error {
+	if !op.Release {
+		if err := validateSession(op.Session); err != nil {
+			return err
+		}
+		if k := len(b.sess); k < b.n0 {
+			b.moved[k] = -1
+		}
+		b.sess = append(b.sess, op.Session)
+		b.ratio = append(b.ratio, op.Session.Arrival.Rho/op.Session.Phi)
+		b.admits++
+		return nil
+	}
+	n := len(b.sess)
+	if op.Pos < 0 || op.Pos >= n {
+		return fmt.Errorf("%w: release position %d with %d sessions", ErrInvalidInput, op.Pos, n)
+	}
+	if b.moved == nil {
+		b.sess = append(make([]Session, 0, n+64), b.sess...)
+		b.ratio = append(make([]float64, 0, n+64), b.ratio...)
+		b.moved = make(map[int]int)
+	}
+	last := n - 1
+	if op.Pos < b.n0 {
+		from := -1
+		if last < b.n0 {
+			from = last
+			if o, ok := b.moved[last]; ok {
+				from = o
+			}
+		}
+		b.moved[op.Pos] = from
+	}
+	if last < b.n0 {
+		delete(b.moved, last)
+	}
+	b.sess[op.Pos], b.ratio[op.Pos] = b.sess[last], b.ratio[last]
+	b.sess, b.ratio = b.sess[:last], b.ratio[:last]
+	b.releases++
+	return nil
+}
+
+// seedOrdering builds the ordering repair's starting point after a
+// batch took the population from n0 to n sessions: the previous
+// permutation with released sessions dropped and moved ones renamed to
+// their new slots, followed by the fresh block of admitted sessions,
+// whose length it returns. It touches only the entries the batch moved,
+// found through posOf, so apart from the copy it costs O(batch).
+func (d *DeltaAnalyzer) seedOrdering(n0, n int, moved map[int]int) ([]int, int) {
+	seed := make([]int, n0, max(n0, n))
+	copy(seed, d.an.Ordering)
+	if moved == nil {
+		for k := n0; k < n; k++ {
+			seed = append(seed, k)
+		}
+		return seed, n - n0
+	}
+	// Every pre-batch session that left its slot is dropped first; the
+	// ones that landed in another slot are then renamed to it.
+	for k := range moved {
+		seed[d.an.posOf[k]] = -1
+	}
+	for k := n; k < n0; k++ {
+		seed[d.an.posOf[k]] = -1
+	}
+	for k, o := range moved {
+		if o >= 0 {
+			seed[d.an.posOf[o]] = k
+		}
+	}
+	kept := seed[:0]
+	for _, v := range seed {
+		if v >= 0 {
+			kept = append(kept, v)
+		}
+	}
+	seed = kept
+	fresh := 0
+	for k, o := range moved {
+		if o < 0 {
+			seed = append(seed, k)
+			fresh++
+		}
+	}
+	for k := n0; k < n; k++ {
+		seed = append(seed, k)
+		fresh++
+	}
+	return seed, fresh
 }
 
 // SetRate changes the service rate the analyzer computes under and

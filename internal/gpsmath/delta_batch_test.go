@@ -2,6 +2,8 @@ package gpsmath
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/source"
@@ -54,8 +56,9 @@ func randomBatch(rng *source.RNG, mirror *[]Session) []DeltaOp {
 }
 
 // TestDeltaAnalyzerBatchMatchesReplay pins DeltaAnalyzer.Apply to the
-// per-op replay of the same batch through Admit/Release and to a fresh
-// AnalyzeServer, bit for bit, across random mixed batches under both
+// per-op replay of the same batch through Admit/Release (one-op
+// batches, with a refresh after each) and to a fresh AnalyzeServer, bit
+// for bit, across random mixed batches under both
 // theorem families; analyses published before a batch must read the
 // same afterwards.
 func TestDeltaAnalyzerBatchMatchesReplay(t *testing.T) {
@@ -134,6 +137,89 @@ func TestDeltaAnalyzerBatchMatchesReplay(t *testing.T) {
 		if emptied == 0 {
 			t.Fatalf("independent=%v: no batch emptied the population", indep)
 		}
+	}
+}
+
+// TestDeltaAnalyzerBatchSeedMatchesNaive pins the O(batch) slot bookkeeping of
+// Apply to a naive one that tracks every slot's pre-batch index. The
+// refresh result does not depend on the seed, so a wrong rename would
+// only cost a full sort; this test is what shows the seed is the
+// previous permutation renamed, with released sessions dropped and
+// exactly the admitted slots in the fresh block.
+func TestDeltaAnalyzerBatchSeedMatchesNaive(t *testing.T) {
+	rng := source.NewRNG(77)
+	d, err := NewDeltaAnalyzer(Server{Rate: 30}, Options{Independent: true, Xi: XiOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mirror []Session
+	checked := 0
+	for step := 0; step < 400; step++ {
+		ops := randomBatch(rng, &mirror)
+		if an := d.Analysis(); an != nil {
+			n0 := d.Len()
+			b := deltaBatch{sess: d.sess, ratio: d.pRatio, n0: n0}
+			origin := make([]int, n0)
+			for k := range origin {
+				origin[k] = k
+			}
+			for _, op := range ops {
+				if err := b.apply(op); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if !op.Release {
+					origin = append(origin, -1)
+					continue
+				}
+				last := len(origin) - 1
+				origin[op.Pos] = origin[last]
+				origin = origin[:last]
+			}
+			n := len(origin)
+			wantMoved := map[int]int{}
+			slot := make([]int, n0)
+			for k := range slot {
+				slot[k] = -1
+			}
+			var wantFresh []int
+			for k, o := range origin {
+				if k < n0 && o != k {
+					wantMoved[k] = o
+				}
+				if o >= 0 {
+					slot[o] = k
+				} else {
+					wantFresh = append(wantFresh, k)
+				}
+			}
+			if b.moved == nil && len(wantMoved) == 0 {
+				wantMoved = nil
+			}
+			if !reflect.DeepEqual(b.moved, wantMoved) {
+				t.Fatalf("step %d: moved %v, want %v", step, b.moved, wantMoved)
+			}
+			if n > 0 {
+				var wantHead []int
+				for _, v := range an.Ordering {
+					if slot[v] >= 0 {
+						wantHead = append(wantHead, slot[v])
+					}
+				}
+				seed, fresh := d.seedOrdering(n0, n, b.moved)
+				head, tail := seed[:len(seed)-fresh], slices.Clone(seed[len(seed)-fresh:])
+				slices.Sort(tail)
+				if !slices.Equal(head, wantHead) || !slices.Equal(tail, wantFresh) {
+					t.Fatalf("step %d: seed %v (fresh %d), want head %v fresh %v", step, seed, fresh, wantHead, wantFresh)
+				}
+				checked++
+			}
+		}
+		if _, err := d.Apply(ops); err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+	}
+	if checked < 300 {
+		t.Fatalf("only %d seeds checked", checked)
 	}
 }
 

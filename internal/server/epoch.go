@@ -147,9 +147,12 @@ func (d *Daemon) rebuild() {
 }
 
 // deltaEligible decides whether the pending op batch is small enough
-// for replay through the incremental analyzer: each replayed op costs
-// O(N) lean float passes, so past a fraction of the population a single
-// from-scratch build is cheaper.
+// for the incremental path. That path's cost grows with the batch even
+// though the analyzer refreshes once: each release replayed into the
+// shadow arrays shifts O(N) sorted entries. BenchmarkPublishBatch (64
+// types, alternating admits and releases) puts the crossover with a
+// full rebuild between 0.2·N and 0.4·N ops at 5k and 10k sessions; the
+// default DeltaMaxFraction of 0.25 sits on it.
 func (d *Daemon) deltaEligible() bool {
 	if d.cfg.NoDelta || d.delta == nil || len(d.pending) == 0 {
 		return false

@@ -107,13 +107,16 @@ type Config struct {
 	// self-checked at runtime), so this knob exists for ablation and as
 	// an operational escape hatch.
 	NoDelta bool
-	// DeltaMaxOps caps how many pending mutations the incremental path
-	// will replay into one epoch; a larger batch falls back to a full
-	// rebuild, which is cheaper past that point (default 256).
+	// DeltaMaxOps caps how many pending mutations the daemon records
+	// for the incremental path; a larger batch takes a full rebuild. It
+	// bounds the pending journal's memory between publishes (default
+	// 256, which is at or below the DeltaMaxFraction limit from 1,024
+	// sessions up).
 	DeltaMaxOps int
 	// DeltaMaxFraction caps the same batch as a fraction of the session
-	// count, so small populations do not replay op-by-op what one small
-	// rebuild would cover (default 0.25; floor of 8 ops either way).
+	// count, at the measured point past which a full rebuild is cheaper
+	// than the incremental publish (default 0.25, see deltaEligible;
+	// floor of 8 ops either way).
 	DeltaMaxFraction float64
 	// SelfCheckEvery runs a from-scratch analysis against every Nth
 	// delta-built epoch and adopts it (plus a metric) on any bit

@@ -14,7 +14,12 @@
 // stamps each with the CPU model `go test` reports and GOMAXPROCS, and
 // the gate fails when the two newest stamps differ (measure the parent
 // commit on the same host and commit that snapshot first). Two unstamped
-// snapshots, written before the stamp existed, compare as before.
+// snapshots, written before the stamp existed, compare as before. The
+// stamp only rules pairs out: a virtual machine often reports a generic
+// model ("Intel(R) Xeon(R) Processor"), and equal stamps prove neither
+// the same host nor the same load. `make benchpair` takes both
+// snapshots in one interleaved run, which is what makes a pair
+// comparable.
 //
 //	go run ./tools/benchcmp            # compare two newest in .
 //	go run ./tools/benchcmp -max 0.10  # tighter gate
